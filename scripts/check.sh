@@ -6,6 +6,10 @@ cd "$(dirname "$0")/.."
 
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
+# Gates skipped for a missing tool; named again at the end, so a local
+# pass with skips is not mistaken for the full CI gate.
+skipped=""
+
 echo "== lintkit =="
 python -m repro.lintkit src/repro tests
 
@@ -14,6 +18,7 @@ if command -v mypy >/dev/null 2>&1; then
     mypy src/repro
 else
     echo "mypy not installed; skipping the typing gate (pip install mypy)"
+    skipped="${skipped:+$skipped, }mypy (not installed)"
 fi
 
 echo "== tests =="
@@ -30,6 +35,7 @@ if python -c "import pytest_cov" >/dev/null 2>&1; then
         --cov-fail-under=90 -q
 else
     echo "pytest-cov not installed; skipping the coverage gate (pip install '.[cov]')"
+    skipped="${skipped:+$skipped, }storage coverage (pytest-cov not installed)"
 fi
 
 echo "== columnar equivalence =="
@@ -151,4 +157,9 @@ assert all(
 PY
 rm -f "$doctor_series"
 
-echo "all checks passed"
+if [ -n "$skipped" ]; then
+    echo "all checks that ran passed"
+    echo "SKIPPED GATES: $skipped — CI runs them; this is not a full pass"
+else
+    echo "all checks passed"
+fi

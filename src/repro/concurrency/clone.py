@@ -11,8 +11,10 @@ record values) with the live page, never a mutable container.
 Cloning cost is bounded by page capacity: a data page is one dict (or
 three columns) copy, an index node one entry-list rebuild.  Only pages
 dirtied by the committing operation are cloned (see
-:meth:`repro.concurrency.TreeService` — the page table itself is copied
-as a dict of shared clone references, not re-cloned).
+:meth:`repro.concurrency.TreeService`); the page table itself is never
+re-cloned — a commit copies only the table chunks holding dirty pages
+and shares the other chunks, clones included, with the previous version
+(:class:`repro.concurrency.snapshots.PageTable`).
 """
 
 from __future__ import annotations

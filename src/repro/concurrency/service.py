@@ -10,9 +10,10 @@ Concurrency model (documented in full in ``docs/SERVING.md``):
   :class:`RecordingStore` that tracks which pages each operation
   touches.  After a successful operation (or group), the service clones
   exactly the dirty pages and publishes a fresh immutable
-  :class:`~repro.concurrency.snapshots.TreeVersion` — a *new* page
-  table dict sharing every clean page's clone with the previous
-  version — by swapping one reference.
+  :class:`~repro.concurrency.snapshots.TreeVersion` — a *new*
+  :class:`~repro.concurrency.snapshots.PageTable` that copies only the
+  256-id chunks holding dirty pages and shares every other chunk with
+  the previous version — by swapping one reference.
 - **Wait-free readers.**  Opening a snapshot grabs the current version
   reference; no lock, no copy, no registration.  A snapshot stays
   consistent forever (it is unreachable garbage once dropped), so a
@@ -33,7 +34,7 @@ import threading
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.concurrency.clone import clone_page
-from repro.concurrency.snapshots import Snapshot, TreeVersion
+from repro.concurrency.snapshots import PageTable, Snapshot, TreeVersion
 from repro.core.knn import KNNResult
 from repro.core.query import QueryResult
 from repro.core.tree import BVTree
@@ -184,10 +185,13 @@ class TreeService:
         self._lock = threading.RLock()
         self._poison: BaseException | None = None
         self._commits = 0
-        pages = {
-            pid: clone_page(self._recorder.peek(pid))
-            for pid in self._recorder.page_ids()
-        }
+        pages = PageTable().commit(
+            {
+                pid: clone_page(self._recorder.peek(pid))
+                for pid in self._recorder.page_ids()
+            },
+            (),
+        )
         self._version = TreeVersion(
             pages,
             tree.root_page,
@@ -434,18 +438,18 @@ class TreeService:
 
     def _publish(self) -> int:
         recorder = self._recorder
-        dirty = recorder.drain()
-        old = self._version
-        pages = dict(old.pages)
-        for pid in dirty:
+        written: dict[int, Any] = {}
+        freed: list[int] = []
+        for pid in recorder.drain():
             if pid in recorder:
-                pages[pid] = clone_page(recorder.peek(pid))
+                written[pid] = clone_page(recorder.peek(pid))
             else:
-                pages.pop(pid, None)
+                freed.append(pid)
+        old = self._version
         tree = self._tree
         self._commits += 1
         version = TreeVersion(
-            pages,
+            old.pages.commit(written, freed),
             tree.root_page,
             tree.height,
             tree.count,

@@ -1,12 +1,13 @@
 """Immutable point-in-time views of a served tree.
 
-A :class:`TreeVersion` is one published committed state: a frozen page
-table (page id -> cloned payload) plus the tree metadata that changes
-under writes (root page, height, record count) and the version's place
-in the committed write history (``lsn``).  Versions are never mutated
-after publication — the service builds a *new* table for every commit
-and swaps one reference — so pinning a version is just holding it, and
-a reader never observes a half-applied split cascade by construction.
+A :class:`TreeVersion` is one published committed state: a frozen
+:class:`PageTable` (page id -> cloned payload) plus the tree metadata
+that changes under writes (root page, height, record count) and the
+version's place in the committed write history (``lsn``).  Versions are
+never mutated after publication — the service builds a *new* table for
+every commit, sharing every untouched chunk of the old one, and swaps
+one reference — so pinning a version is just holding it, and a reader
+never observes a half-applied split cascade by construction.
 
 A :class:`Snapshot` wraps a version with everything the core read paths
 need.  It deliberately duck-types the :class:`~repro.core.BVTree`
@@ -18,7 +19,8 @@ same code, same page-access counts, frozen data.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from typing import Any
 
 from repro.concurrency.clone import clone_page
 from repro.core.columnar import locate_columnar
@@ -34,7 +36,80 @@ from repro.geometry.region import ROOT_KEY
 from repro.geometry.space import DataSpace
 from repro.obs.tracer import Tracer
 
-__all__ = ["Snapshot", "TreeVersion", "VersionStore"]
+__all__ = ["PageTable", "Snapshot", "TreeVersion", "VersionStore"]
+
+#: A page table chunk holds the ids sharing ``pid >> _CHUNK_BITS``.
+_CHUNK_BITS = 8
+
+
+class PageTable(Mapping[int, Any]):
+    """An immutable page id -> cloned payload map, copied per chunk.
+
+    Pages are kept in chunk dicts keyed by ``pid >> 8``, 256 ids per
+    chunk.  :meth:`commit` derives the next version's table by copying
+    the outer dict and only the chunks holding a written or freed page;
+    every other chunk is *shared* with this table, so a commit costs
+    O(chunks + dirty pages) instead of O(pages).  A chunk left empty is
+    dropped: page ids only grow, so freed ids would otherwise leave the
+    outer dict sized by the highest id rather than by the live pages.
+    """
+
+    __slots__ = ("chunks", "_size")
+
+    def __init__(self) -> None:
+        """An empty table; :meth:`commit` derives every other one."""
+        #: ``pid >> 8`` -> {pid: payload}.  Never mutated once published.
+        self.chunks: dict[int, dict[int, Any]] = {}
+        self._size = 0
+
+    def commit(
+        self, written: Mapping[int, Any], freed: Iterable[int]
+    ) -> "PageTable":
+        """A new table with ``written`` pages set and ``freed`` ids gone.
+
+        ``self`` is left untouched; only the chunks the change lands in
+        are copied, the rest are shared by identity.  ``written`` and
+        ``freed`` are disjoint.
+        """
+        chunks = dict(self.chunks)
+        copied: dict[int, dict[int, Any]] = {}
+        size = self._size
+        for pid, content in written.items():
+            key = pid >> _CHUNK_BITS
+            chunk = copied.get(key)
+            if chunk is None:
+                chunk = copied[key] = chunks[key] = dict(chunks.get(key, {}))
+            if pid not in chunk:
+                size += 1
+            chunk[pid] = content
+        for pid in freed:
+            key = pid >> _CHUNK_BITS
+            chunk = copied.get(key)
+            if chunk is None:
+                chunk = chunks.get(key)
+                if chunk is None or pid not in chunk:
+                    continue
+                chunk = copied[key] = chunks[key] = dict(chunk)
+            if pid in chunk:
+                del chunk[pid]
+                size -= 1
+        for key, chunk in copied.items():
+            if not chunk:
+                del chunks[key]
+        table = PageTable()
+        table.chunks = chunks
+        table._size = size
+        return table
+
+    def __getitem__(self, pid: int) -> Any:
+        return self.chunks[pid >> _CHUNK_BITS][pid]
+
+    def __iter__(self) -> Iterator[int]:
+        for chunk in self.chunks.values():
+            yield from chunk
+
+    def __len__(self) -> int:
+        return self._size
 
 
 class TreeVersion:
@@ -44,14 +119,14 @@ class TreeVersion:
 
     def __init__(
         self,
-        pages: dict[int, Any],
+        pages: PageTable,
         root_page: int,
         height: int,
         count: int,
         lsn: int,
         wal_seq: int | None = None,
     ):
-        #: page id -> cloned payload.  Treated as immutable from here on.
+        #: page id -> cloned payload.  Immutable from here on.
         self.pages = pages
         self.root_page = root_page
         self.height = height
@@ -81,10 +156,11 @@ class VersionStore:
     for the read-path counter races; see ``docs/SERVING.md``).
     """
 
-    __slots__ = ("_pages", "tracer", "reads")
+    __slots__ = ("_pages", "_chunks", "tracer", "reads")
 
-    def __init__(self, pages: Mapping[int, Any]):
+    def __init__(self, pages: PageTable):
         self._pages = pages
+        self._chunks = pages.chunks
         #: Disabled tracer: snapshot reads are never traced (the tracer
         #: protocol is part of the store surface the read paths consult).
         self.tracer = Tracer()
@@ -92,7 +168,7 @@ class VersionStore:
 
     def read(self, page_id: int) -> Any:
         try:
-            content = self._pages[page_id]
+            content = self._chunks[page_id >> _CHUNK_BITS][page_id]
         except KeyError:
             raise PageNotFoundError(
                 f"page {page_id} not in this snapshot"
@@ -102,7 +178,7 @@ class VersionStore:
 
     def peek(self, page_id: int) -> Any:
         try:
-            return self._pages[page_id]
+            return self._chunks[page_id >> _CHUNK_BITS][page_id]
         except KeyError:
             raise PageNotFoundError(
                 f"page {page_id} not in this snapshot"

@@ -26,9 +26,10 @@ registry in the Prometheus text format (same exposition discipline as
 from __future__ import annotations
 
 import json
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from repro.concurrency.service import BatchAbortedError, TreeService, WriteOp
 from repro.errors import (
@@ -48,11 +49,17 @@ __all__ = ["Response", "ServingApp", "status_for"]
 
 @dataclass
 class Response:
-    """One endpoint result: status, payload, content type."""
+    """One endpoint result: status, payload, content type.
+
+    A write queued on the :class:`WriteBatcher` returns before it
+    commits: its ``pending`` future resolves to the final response, and
+    ``status``/``payload`` are placeholders until then.
+    """
 
     status: int
     payload: Any
     content_type: str = "application/json"
+    pending: "Future[Response] | None" = None
 
     def body_bytes(self) -> bytes:
         if self.content_type == "application/json":
@@ -125,9 +132,10 @@ class ServingApp:
     batcher:
         Optionally a :class:`WriteBatcher`.  When present, single-op
         writes (``insert``/``delete``) go through it — group-commit
-        coalescing under concurrent load; the call still blocks until
-        the op's own outcome is known.  Without one, writes apply
-        directly (the contract tests run this way).  ``/v1/batch`` and
+        coalescing under concurrent load — and :meth:`handle` returns
+        at once with a *pending* response (see :class:`Response`) that
+        resolves when the op's group commits.  Without one, writes
+        apply directly (the contract tests run this way).  ``/v1/batch`` and
         ``/v1/bulk`` always bypass the batcher: the former needs the
         all-or-nothing path, the latter is a rare whole-tree build.
     """
@@ -147,7 +155,11 @@ class ServingApp:
     # -- dispatch --------------------------------------------------------
 
     def handle(self, method: str, path: str, body: bytes | None) -> Response:
-        """Serve one request; never raises (errors become responses)."""
+        """Serve one request; never raises (errors become responses).
+
+        A batched write comes back pending: wait on its ``pending``
+        future (the HTTP layer awaits it on the event loop).
+        """
         route = _ROUTES.get((method.upper(), path))
         if route is None:
             if any(p == path for _, p in _ROUTES):
@@ -167,7 +179,14 @@ class ServingApp:
         except BaseException as exc:
             instruments.errors.inc()
             response = self._error_response(exc)
-        instruments.latency_us.observe((perf_counter() - t0) * 1e6)
+        if response.pending is None:
+            instruments.latency_us.observe((perf_counter() - t0) * 1e6)
+        else:
+            response.pending.add_done_callback(
+                lambda _: instruments.latency_us.observe(
+                    (perf_counter() - t0) * 1e6
+                )
+            )
         return response
 
     def _instrument(self, endpoint: str) -> _EndpointInstruments:
@@ -214,10 +233,45 @@ class ServingApp:
             )
         return tuple(float(c) for c in value)
 
-    def _apply_write(self, ops: Sequence[WriteOp]) -> tuple[list[tuple[bool, Any]], int]:
-        if self.batcher is not None:
-            return self.batcher.submit(ops).result()
-        return self.service.apply_ops(ops)
+    def _write(
+        self,
+        endpoint: str,
+        op: WriteOp,
+        respond: Callable[[Any, int], Response],
+    ) -> Response:
+        """Apply one single-op write; ``respond(result, lsn)`` on success.
+
+        Without a batcher the op applies here and the response is final.
+        With one, the op is queued and a pending response returned; the
+        writer thread resolves it once the op's group has committed.
+        """
+
+        def finish(outcome: tuple[bool, Any], lsn: int) -> Response:
+            ok, result = outcome
+            if not ok:
+                self._instrument(endpoint).errors.inc()
+                return self._error_response(result)
+            return respond(result, lsn)
+
+        if self.batcher is None:
+            outcomes, lsn = self.service.apply_ops([op])
+            return finish(outcomes[0], lsn)
+        done: "Future[Response]" = Future()
+        # Running futures cannot be cancelled: a connection dropped
+        # mid-commit must not leave resolve() a cancelled future to set.
+        done.set_running_or_notify_cancel()
+
+        def resolve(queued: "Future[tuple[list[tuple[bool, Any]], int]]") -> None:
+            # A service-level failure (a poisoned writer) fails the op.
+            failure = queued.exception()
+            if failure is not None:
+                done.set_result(finish((False, failure), 0))
+            else:
+                outcomes, lsn = queued.result()
+                done.set_result(finish(outcomes[0], lsn))
+
+        self.batcher.submit([op]).add_done_callback(resolve)
+        return Response(202, None, pending=done)
 
     # -- endpoints -------------------------------------------------------
 
@@ -247,23 +301,20 @@ class ServingApp:
     def _insert(self, request: dict[str, Any]) -> Response:
         point = self._point(request)
         replace = bool(request.get("replace", False))
-        op: WriteOp = ("insert", point, request.get("value"), replace)
-        outcomes, lsn = self._apply_write([op])
-        ok, result = outcomes[0]
-        if not ok:
-            self._instrument("insert").errors.inc()
-            return self._error_response(result)
-        return Response(201, {"point": list(point), "lsn": lsn})
+        return self._write(
+            "insert",
+            ("insert", point, request.get("value"), replace),
+            lambda _, lsn: Response(201, {"point": list(point), "lsn": lsn}),
+        )
 
     def _delete(self, request: dict[str, Any]) -> Response:
         point = self._point(request)
-        outcomes, lsn = self._apply_write([("delete", point)])
-        ok, result = outcomes[0]
-        if not ok:
-            self._instrument("delete").errors.inc()
-            return self._error_response(result)
-        return Response(
-            200, {"point": list(point), "value": result, "lsn": lsn}
+        return self._write(
+            "delete",
+            ("delete", point),
+            lambda value, lsn: Response(
+                200, {"point": list(point), "value": value, "lsn": lsn}
+            ),
         )
 
     def _range(self, request: dict[str, Any]) -> Response:

@@ -2,13 +2,19 @@
 
 HTTP write requests land one at a time, but the service pays two fixed
 costs per commit — the writer lock handoff and the version publication
-(a page-table dict copy).  The batcher amortises both: requests queue
-up, a single background writer thread drains whatever has accumulated
-(up to ``max_batch``, waiting at most ``max_wait_s`` for stragglers),
-applies the whole group under **one** lock hold and **one**
-publication via :meth:`TreeService.apply_ops`, then resolves each
-request's future with its own outcome.  On a WAL-backed store this is
-group-commit shaped: one fsync window covers the group.
+(a page-table commit that copies the touched chunks).  The batcher
+amortises both with leader-style group commit and no timer: a single
+background writer thread blocks for the first request, takes whatever
+else is *already* queued (without waiting, up to ``max_batch``),
+applies that group under **one** lock hold and **one** publication via
+:meth:`TreeService.apply_ops`, then resolves each request's future with
+its own outcome.  Requests that arrive while a group commits form the
+next group, so groups grow with load by themselves and an idle server
+never waits.
+
+Durability is *not* grouped: a WAL-backed store commits each tree
+operation on its own (``DurableStore`` with ``sync="commit"`` fsyncs
+once per insert or delete), so a group of N ops still costs N fsyncs.
 
 Requests stay independent — a failed op (duplicate key, missing key)
 fails only its own future; the rest of the group commits.  This is
@@ -21,7 +27,6 @@ from __future__ import annotations
 import queue
 import threading
 from concurrent.futures import Future
-from time import monotonic
 from typing import Any, Sequence
 
 from repro.concurrency.service import TreeService, WriteOp
@@ -66,22 +71,18 @@ _SHUTDOWN = object()
 
 
 class WriteBatcher:
-    """A background writer thread that drains queued writes in groups."""
+    """A background writer thread that commits queued writes in groups."""
 
-    def __init__(
-        self,
-        service: TreeService,
-        *,
-        max_batch: int = 64,
-        max_wait_s: float = 0.002,
-    ):
+    def __init__(self, service: TreeService, *, max_batch: int = 64):
         if max_batch <= 0:
             raise ReproError(f"max_batch must be positive, got {max_batch}")
         self.service = service
         self.max_batch = max_batch
-        self.max_wait_s = max_wait_s
         self.stats = BatchStats()
         self._queue: "queue.Queue[Any]" = queue.Queue()
+        # Orders submit's closed-check-and-enqueue against close's
+        # sentinel, so no request can land behind _SHUTDOWN.
+        self._gate = threading.Lock()
         self._closed = False
         self._thread = threading.Thread(
             target=self._drain_loop, name="repro-write-batcher", daemon=True
@@ -96,43 +97,52 @@ class WriteBatcher:
         service-level failure (poisoned writer) rejects the future with
         the underlying exception.
         """
-        if self._closed:
-            raise ReproError("write batcher is closed")
         future: "Future[tuple[list[tuple[bool, Any]], int]]" = Future()
-        self._queue.put(_Pending(list(ops), future))
+        with self._gate:
+            if self._closed:
+                raise ReproError("write batcher is closed")
+            self._queue.put(_Pending(list(ops), future))
         return future
 
     def close(self) -> None:
-        """Stop accepting writes, drain the queue, join the thread."""
-        if self._closed:
-            return
-        self._closed = True
-        self._queue.put(_SHUTDOWN)
+        """Stop accepting writes, commit what is queued, join the thread."""
+        with self._gate:
+            if self._closed:
+                return
+            self._closed = True
+            self._queue.put(_SHUTDOWN)
         self._thread.join()
 
     # -- writer thread ---------------------------------------------------
 
     def _drain_loop(self) -> None:
+        take = self._queue.get_nowait
         while True:
             item = self._queue.get()
-            if item is _SHUTDOWN:
-                return
-            group = [item]
-            deadline = monotonic() + self.max_wait_s
-            while len(group) < self.max_batch:
-                remaining = deadline - monotonic()
+            group: list[_Pending] = []
+            while item is not _SHUTDOWN:
+                group.append(item)
+                if len(group) == self.max_batch:
+                    break
                 try:
-                    nxt = self._queue.get(
-                        timeout=remaining if remaining > 0 else None,
-                        block=remaining > 0,
-                    )
+                    item = take()
                 except queue.Empty:
                     break
-                if nxt is _SHUTDOWN:
-                    self._apply_group(group)
-                    return
-                group.append(nxt)
-            self._apply_group(group)
+            if group:
+                self._apply_group(group)
+            if item is _SHUTDOWN:
+                break
+        # Nothing behind the sentinel will ever commit: fail it rather
+        # than leave its caller waiting forever.
+        while True:
+            try:
+                item = take()
+            except queue.Empty:
+                return
+            if item is not _SHUTDOWN:
+                item.future.set_exception(
+                    ReproError("write batcher is closed")
+                )
 
     def _apply_group(self, group: list[_Pending]) -> None:
         flat: list[WriteOp] = []

@@ -6,13 +6,15 @@ standard library (the container the repo targets has no web framework).
 
 Threading model: the event loop serves *reads* inline — a snapshot read
 is sub-millisecond CPU work, and the GIL means a thread pool would add
-handoffs without adding parallelism.  *Writes* are handed to the
-:class:`~repro.server.batch.WriteBatcher`'s single writer thread and
-awaited as futures, so a slow write (a split cascade, a WAL fsync)
-never stalls the accept loop, and concurrent write requests coalesce
-into group commits.  The app object itself is shared safely: its state
-is the service (thread-safe by construction) and the metrics registry
-(counter increments; per-sample exactness is not load-bearing).
+handoffs without adding parallelism.  *Writes* are queued on the
+:class:`~repro.server.batch.WriteBatcher` by ``ServingApp.handle``,
+which returns a pending response at once; the connection awaits it on
+the loop, so a slow write (a split cascade, a WAL fsync) never stalls
+the accept loop, and every write in flight — however many connections
+carry them — reaches the batcher to coalesce into group commits.  The
+app object itself is shared safely: its state is the service
+(thread-safe by construction) and the metrics registry (counter
+increments; per-sample exactness is not load-bearing).
 
 :class:`ServerHandle` hosts the loop in a daemon thread for tests and
 the CLI's foreground mode alike.
@@ -95,7 +97,6 @@ async def _handle_connection(
     reader: asyncio.StreamReader,
     writer: asyncio.StreamWriter,
 ) -> None:
-    loop = asyncio.get_running_loop()
     try:
         while True:
             try:
@@ -112,17 +113,9 @@ async def _handle_connection(
                 return
             method, path, headers, body = request
             keep_alive = headers.get("connection", "").lower() != "close"
-            if method.upper() == "POST" and path in (
-                "/v1/insert",
-                "/v1/delete",
-            ) and app.batcher is not None:
-                # Hand the write to the batcher thread and yield the
-                # loop; handle() would otherwise block it on the lock.
-                response = await loop.run_in_executor(
-                    None, app.handle, method, path, body
-                )
-            else:
-                response = app.handle(method, path, body)
+            response = app.handle(method, path, body)
+            if response.pending is not None:
+                response = await asyncio.wrap_future(response.pending)
             writer.write(_encode(response, keep_alive))
             await writer.drain()
             if not keep_alive:
